@@ -384,18 +384,27 @@ def write_samples_csv(record: MetricsRecord, path) -> None:
             writer.writerow([f"{value:.10e}"])
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def write_json_report(records: Sequence[MetricsRecord], path, meta: dict | None = None) -> None:
+    """Strict JSON report of `records`.
+
+    Non-finite floats are written as null: the NaN mean and CI of a point
+    whose every trial failed, and the infinite SNR of a noiseless sweep.
+    """
     payload = {
         "meta": meta or {},
         "records": [
             {
                 "metric": rec.metric,
                 "series": rec.series_label(),
-                "snr_db": rec.snr_db,
+                "snr_db": _finite_or_none(rec.snr_db),
                 "position": rec.position,
                 "m_order": rec.m_order,
-                "mean": rec.value,
-                "ci_half_width": rec.ci_half_width,
+                "mean": _finite_or_none(rec.value),
+                "ci_half_width": _finite_or_none(rec.ci_half_width),
                 "trials": rec.trials,
                 "failures": rec.failures,
                 "seed": rec.seed,
@@ -403,6 +412,6 @@ def write_json_report(records: Sequence[MetricsRecord], path, meta: dict | None 
             for rec in records
         ],
     }
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
-        fh.write("\n")
+        fh.write(text + "\n")

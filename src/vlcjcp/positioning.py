@@ -6,8 +6,12 @@ DC term must be removed before squaring, since the measurement statistic has
 no bias term).  Reference RSS is the model expectation: pilot energy times the
 link power profile plus the ambient noise floor, so measurement and reference
 agree in expectation.  Radius inversion subtracts the ambient floor and then
-inverts the monotone LOS+NLOS power curve, either analytically (bisection) or
-by nearest-RSS lookup in a precomputed grid table.
+inverts the monotone LOS+NLOS power curve, either analytically (bisection of
+the radial curve) or by nearest-RSS lookup on the floor grid of
+`build_reference_grid`.  With a fixed K that grid is radially symmetric about
+each LED, so the position fixes find the nearest entry by a binary search
+along the grid points sorted by distance, without building the table; a
+geometric K has no radial symmetry, and its table is built per height.
 
 The 2-D fix at a known height is the unweighted least-squares radical center.
 The 3-D height search weighs its per-height fixes instead: near-grazing LEDs
@@ -28,6 +32,7 @@ import numpy as np
 from .channel import NoiseModel, los_gain_at_offsets, omega_from_mu
 from .errors import (
     CollinearError,
+    DomainError,
     GeometryError,
     InsufficientCirclesError,
     LengthError,
@@ -198,11 +203,12 @@ def radius_from_rss(
     Analytic mode bisects the monotone forward model; grid mode returns the
     horizontal distance of the nearest-RSS grid point in `table` (the literal
     lookup procedure).  Raises OutOfRangeError when the measurement exceeds
-    the beneath-LED maximum or does not rise above the ambient floor.
+    the beneath-LED maximum or does not rise above the ambient floor, and
+    DomainError when grid mode lacks `table` or `led_index`.
     """
     if mode == "grid":
         if table is None or led_index is None:
-            raise ValueError("grid mode needs a reference table and led_index")
+            raise DomainError("grid mode needs a reference table and led_index")
         grid = table.per_led[led_index]
         if rss <= table.noise_floor:
             raise OutOfRangeError("measured RSS at or below the ambient floor")
@@ -229,6 +235,15 @@ def _grid_axes(length_cm: float, resolution_cm: float) -> np.ndarray:
     return -length_cm / 2.0 + resolution_cm * np.arange(n)
 
 
+def _check_heights(scenario: ScenarioConfig, heights) -> None:
+    heights = np.asarray(heights, dtype=float)
+    min_led_z = min(led.position.z for led in scenario.leds)
+    bad = heights[~((heights >= 0.0) & (heights < min_led_z))]
+    if bad.size:
+        raise GeometryError(
+            f"receiver plane {float(bad[0])} cm must lie in [0, {min_led_z}) cm")
+
+
 def build_reference_grid(scenario: ScenarioConfig, height_cm: float,
                          noise: NoiseModel | None = None,
                          pd_index: int = 0) -> RssTable:
@@ -239,10 +254,7 @@ def build_reference_grid(scenario: ScenarioConfig, height_cm: float,
     pilot amplitude (bipolar pilots: the amplitude squared).
     """
     room = scenario.room
-    min_led_z = min(led.position.z for led in scenario.leds)
-    if not 0.0 <= height_cm < min_led_z:
-        raise GeometryError(
-            f"receiver plane {height_cm} cm must lie in [0, {min_led_z}) cm")
+    _check_heights(scenario, [height_cm])
     floor = noise.sigma2_w if noise is not None else 0.0
     pd = scenario.pds[pd_index]
     e_p = scenario.modulation.amplitude ** 2
@@ -281,6 +293,110 @@ def write_rss_table_csv(table: RssTable, path) -> None:
                 for t in range(table.per_led.shape[0]):
                     writer.writerow([f"{x:.10g}", f"{y:.10g}", t,
                                      f"{table.per_led[t, i, j]:.12e}"])
+
+
+def _floor_grid_by_distance(scenario: ScenarioConfig):
+    """`build_reference_grid`'s floor points per LED, sorted by horizontal
+    distance to the LED's floor projection; equal distances keep C order.
+
+    Returns (dx, dy, radius, tail_radius), each (N_t, n_points): the offsets
+    LED - point in cm, the horizontal distance, and the distance of the point
+    with the smallest C-order index at or after each sorted position.  On
+    whole-centimetre offsets dx^2 + dy^2 is exact, so its square root is
+    correctly rounded like `radius_from_rss`'s math.hypot; otherwise the two
+    may differ in the last bit.
+    """
+    room = scenario.room
+    xs = _grid_axes(room.dims.x, room.grid_resolution_cm)
+    ys = _grid_axes(room.dims.y, room.grid_resolution_cm)
+    per_led = []
+    for led in scenario.leds:
+        dx = np.repeat(led.position.x - xs, ys.size)
+        dy = np.tile(led.position.y - ys, xs.size)
+        dist2 = dx * dx + dy * dy
+        order = np.argsort(dist2, kind="stable")
+        radius = np.sqrt(dist2)
+        first = np.minimum.accumulate(order[::-1])[::-1]
+        per_led.append((dx[order], dy[order], radius[order], radius[first]))
+    return tuple(np.stack(arrays) for arrays in zip(*per_led))
+
+
+def _grid_radii(rss, scenario: ScenarioConfig, pd_indices, heights,
+                noise: NoiseModel | None) -> np.ndarray:
+    """Grid-mode radius of every LED at every height, for one or more PDs.
+
+    rss: (len(pd_indices), N_t), row p measured by PD pd_indices[p].  Returns
+    (len(pd_indices), n_heights, N_t): `radius_from_rss(mode="grid")` on the
+    `build_reference_grid` table of that height and PD, NaN where it raises
+    OutOfRangeError.
+
+    Fixed-K tables are radially symmetric about each LED's floor projection,
+    and their entries never increase with horizontal distance (past the FoV
+    edge they all equal the floor).  So no table is built: one binary search
+    along the distance-sorted points, vectorised over (LED, height), finds
+    the first entry below the measurement, and the nearest entry is that one
+    or the one before.  Entries come from the table's own forward model, so
+    they equal the table's.  When the floor plateau is nearest, np.argmin
+    takes its first point in C order, whose distance is `tail_radius`.
+    Geometric-K tables are not radially symmetric; they are built and
+    searched per height.
+    """
+    heights = np.asarray(heights, dtype=float)
+    _check_heights(scenario, heights)
+    rss = np.asarray(rss, dtype=float)
+    floor = noise.sigma2_w if noise is not None else 0.0
+    radii = np.full((len(pd_indices), heights.size, scenario.n_leds), np.nan)
+    if scenario.rician.mode != "fixed":
+        for p, pd_index in enumerate(pd_indices):
+            pd = scenario.pds[pd_index]
+            for hi, height in enumerate(heights):
+                table = build_reference_grid(scenario, float(height), noise, pd_index)
+                for t, led in enumerate(scenario.leds):
+                    try:
+                        radii[p, hi, t] = radius_from_rss(
+                            float(rss[p, t]), led, pd, float(height),
+                            mode="grid", table=table, led_index=t)
+                    except OutOfRangeError:
+                        pass
+        return radii
+
+    e_p = scenario.modulation.amplitude ** 2
+    dx, dy, radius, tail_radius = _floor_grid_by_distance(scenario)
+    n_points = radius.shape[1]
+    rows = np.arange(scenario.n_leds)[:, None]
+    dz = np.array([led.position.z for led in scenario.leds])[:, None] - heights
+    shape = dz.shape  # (N_t, n_heights)
+    for p, pd_index in enumerate(pd_indices):
+        pd = scenario.pds[pd_index]
+
+        def expected(k):
+            """Table entries at sorted positions k, (N_t, n_heights)."""
+            mu = np.stack([los_gain_at_offsets(led, pd, dx[t, k[t]], dy[t, k[t]], dz[t])
+                           for t, led in enumerate(scenario.leds)])
+            return e_p * omega_from_mu(mu, scenario.rician.k_factor) + floor
+
+        target = np.broadcast_to(rss[p][:, None], shape)
+        # entries before lo are >= target, the last of them `above`; entries
+        # from hi on are < target, the first of them `below`
+        above = expected(np.zeros(shape, dtype=np.intp))  # the peak
+        valid = (target > floor) & (target <= above)
+        lo = np.ones(shape, dtype=np.intp)
+        hi = np.full(shape, n_points, dtype=np.intp)
+        below = np.full(shape, -np.inf)
+        for _ in range((n_points - 1).bit_length()):
+            mid = (lo + hi) // 2
+            value = expected(np.minimum(mid, n_points - 1))
+            is_below = value < target
+            down = (lo < hi) & is_below
+            up = (lo < hi) & ~is_below
+            hi, below = np.where(down, mid, hi), np.where(down, value, below)
+            lo, above = np.where(up, mid + 1, lo), np.where(up, value, above)
+        last = np.minimum(lo, n_points - 1)
+        pick_below = target - below < above - target
+        r_below = np.where(below == floor, tail_radius[rows, last], radius[rows, last])
+        r = np.where(pick_below, r_below, radius[rows, lo - 1])
+        radii[p] = np.where(valid, r, np.nan).T
+    return radii
 
 
 def _axis_rows(circles) -> tuple[np.ndarray, np.ndarray]:
@@ -346,28 +462,33 @@ def position_2d(
     """2-D fix at a known height from per-LED RSS of one PD.
 
     LEDs whose radius inversion fails are dropped; at least two usable
-    circles are required (InsufficientCirclesError otherwise).
+    circles are required (InsufficientCirclesError otherwise).  Grid mode
+    looks each radius up in `table` when one is given; otherwise it returns
+    the same radii as the `build_reference_grid` table of this height and PD
+    would, found without building it (`_grid_radii`).
     """
     rss = np.asarray(measured_rss, dtype=float).reshape(-1)
     if rss.size != scenario.n_leds:
         raise LengthError(f"expected {scenario.n_leds} RSS values, got {rss.size}")
-    pd = scenario.pds[pd_index]
-    floor = noise.sigma2_w if noise is not None else 0.0
-    e_p = scenario.modulation.amplitude ** 2
     if mode == "grid" and table is None:
-        table = build_reference_grid(scenario, height_cm, noise, pd_index)
-    circles = []
-    for t, led in enumerate(scenario.leds):
-        try:
-            radius = radius_from_rss(
-                float(rss[t]), led, pd, height_cm,
-                k_factor=_resolved_k(scenario), pilot_energy=e_p, noise_floor=floor,
-                mode=mode, table=table, led_index=t,
-                max_radius_cm=_room_diag(scenario),
-            )
-        except (OutOfRangeError, GeometryError):
-            continue
-        circles.append(Circle2D(center=(led.position.x, led.position.y), radius=radius))
+        radii = _grid_radii(rss[None], scenario, (pd_index,), [height_cm], noise)[0, 0]
+    else:
+        pd = scenario.pds[pd_index]
+        floor = noise.sigma2_w if noise is not None else 0.0
+        e_p = scenario.modulation.amplitude ** 2
+        radii = np.full(scenario.n_leds, np.nan)
+        for t, led in enumerate(scenario.leds):
+            try:
+                radii[t] = radius_from_rss(
+                    float(rss[t]), led, pd, height_cm,
+                    k_factor=_resolved_k(scenario), pilot_energy=e_p, noise_floor=floor,
+                    mode=mode, table=table, led_index=t,
+                    max_radius_cm=_room_diag(scenario),
+                )
+            except (OutOfRangeError, GeometryError):
+                pass
+    circles = [Circle2D(center=(led.position.x, led.position.y), radius=float(r))
+               for led, r in zip(scenario.leds, radii) if not math.isnan(r)]
     if len(circles) < 2:
         raise InsufficientCirclesError(
             f"only {len(circles)} usable circles at height {height_cm} cm")
@@ -481,6 +602,11 @@ def position_3d(
     the sigma-free high-SNR weights are used; consistent circles still give
     the exact fix.
 
+    Grid mode takes each radius from the nearest-RSS point of the
+    `build_reference_grid` table of that height and PD.  With a fixed K one
+    sorted-distance search per LED covers all heights and both PDs
+    (`_grid_radii`); a geometric K builds the table of every height.
+
     Args:
         debiased_pilot_obs: (n_P, 2) pilot observations, DC term removed.
         schedule: pilot schedule that produced them.
@@ -497,20 +623,13 @@ def position_3d(
     e_p = scenario.modulation.amplitude ** 2
     centers = np.array([[led.position.x, led.position.y] for led in scenario.leds])
     n_slots = np.bincount([s[0] for s in schedule], minlength=scenario.n_leds)
+    if mode == "grid":
+        grid_radii = _grid_radii(rss[:2], scenario, (0, 1), heights, noise)
     fixes = []
     for pd_index in range(2):
         pd = scenario.pds[pd_index]
         if mode == "grid":
-            radii = np.full((heights.size, scenario.n_leds), np.nan)
-            for hi, height in enumerate(heights):
-                table = build_reference_grid(scenario, float(height), noise, pd_index)
-                for t, led in enumerate(scenario.leds):
-                    try:
-                        radii[hi, t] = radius_from_rss(
-                            float(rss[pd_index, t]), led, pd, float(height),
-                            mode="grid", table=table, led_index=t)
-                    except (OutOfRangeError, GeometryError):
-                        pass
+            radii = grid_radii[pd_index]
         else:
             radii = np.column_stack([
                 _invert_radius_batch(

@@ -114,3 +114,15 @@ def test_sweep_pos3d_smoke(tmp_path):
                  "--out-dir", str(out_dir)])
     assert code == 0
     assert (out_dir / "pos3d_metrics.csv").exists()
+
+
+def test_sweep_pos3d_grid_mode_smoke(tmp_path):
+    out_dir = tmp_path / "grid3d"
+    code = main(["sweep", "pos3d", SCENARIO_PATH, "--snr", "60", "--trials", "2",
+                 "--positions", "100,100,150", "--seed", "1", "--mode", "grid",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    manifest = json.load(open(out_dir / "manifest.json"))
+    assert sorted(manifest["artifacts"]) == ["pos3d_metrics.csv", "pos3d_report.json"]
+    report = json.load(open(out_dir / "pos3d_report.json"))
+    assert report["records"][0]["trials"] == 2

@@ -138,15 +138,32 @@ def test_ci_half_width_shrinks_like_sqrt_trials(default_scenario):
     assert ratio == pytest.approx(2.0, rel=0.35)
 
 
-def test_failures_are_censored_not_dropped(los_scenario):
-    import dataclasses
-
+def _all_failed_record(scenario):
     # 60 degree FoV: at z=250 only one LED is visible from (100, 100), so
     # every trial fails and must be counted
-    spec = _spec(los_scenario, [80.0], trials=4)
-    records = run_positioning_sweep_3d(spec, [Vec3(100.0, 100.0, 250.0)])
-    assert records[0].failures == 4
-    assert math.isnan(records[0].value)
+    spec = _spec(scenario, [80.0], trials=4)
+    return run_positioning_sweep_3d(spec, [Vec3(100.0, 100.0, 250.0)])[0]
+
+
+def test_failures_are_censored_not_dropped(los_scenario):
+    record = _all_failed_record(los_scenario)
+    assert record.failures == 4
+    assert math.isnan(record.value)
+
+
+def test_report_of_all_failed_point_is_strict_json(los_scenario, tmp_path):
+    import json
+
+    record = _all_failed_record(los_scenario)
+    path = tmp_path / "r.json"
+    write_json_report([record], path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["records"][0]["mean"] is None
+    assert payload["records"][0]["failures"] == 4
 
 
 def test_metrics_csv_layout(default_scenario, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vlcjcp.channel import NoiseModel
 from vlcjcp.errors import (
     CollinearError,
+    DomainError,
     GeometryError,
     InsufficientCirclesError,
     LengthError,
@@ -16,6 +17,7 @@ from vlcjcp.errors import (
 from vlcjcp.modem import pilot_schedule
 from vlcjcp.positioning import (
     Circle2D,
+    _grid_radii,
     _positions_over_heights,
     _radius_sq_variances,
     build_reference_grid,
@@ -176,6 +178,47 @@ def test_radius_grid_mode(default_scenario):
     with pytest.raises(OutOfRangeError):
         radius_from_rss(table.per_led[0].max() * 1.01, led, pd, 0.0,
                         mode="grid", table=table, led_index=0)
+    with pytest.raises(DomainError):
+        radius_from_rss(rss, led, pd, 0.0, mode="grid", led_index=0)
+    with pytest.raises(DomainError):
+        radius_from_rss(rss, led, pd, 0.0, mode="grid", table=table)
+
+
+@pytest.mark.parametrize("scenario_name", ["default_scenario", "los_scenario"])
+def test_grid_radii_match_table_lookup(scenario_name, request):
+    # the sorted-distance search against the literal per-height table lookup;
+    # the 60 degree FoV leaves a floor plateau at the upper heights, where
+    # np.argmin's first-index tie rule picks the radius
+    scenario = request.getfixturevalue(scenario_name)
+    rng = np.random.default_rng(11)
+    heights = np.sort(rng.choice(candidate_heights(scenario), 60, replace=False))
+    peak = build_reference_grid(scenario, float(heights[-1])).per_led.max()
+    noise = NoiseModel(sigma2_w=1e-6 * peak, snr_db=60.0, p_ref=1.0)
+    floor = noise.sigma2_w
+    tables = [build_reference_grid(scenario, float(h), noise, 1) for h in heights]
+    draws = floor + peak * np.exp(rng.uniform(math.log(1e-7), math.log(1.3), (24, 4)))
+    draws[0] = floor
+    draws[1] = 0.5 * floor
+    draws[2] = 2.0 * peak
+    draws[3] = tables[5].per_led[:, 7, 40]  # exact table entries
+    plateau = 0
+    for rss in draws:
+        fast = _grid_radii(rss[None], scenario, (1,), heights, noise)[0]
+        oracle = np.full_like(fast, np.nan)
+        for hi, (height, table) in enumerate(zip(heights, tables)):
+            for t, led in enumerate(scenario.leds):
+                try:
+                    oracle[hi, t] = radius_from_rss(
+                        float(rss[t]), led, scenario.pds[1], float(height),
+                        mode="grid", table=table, led_index=t)
+                except OutOfRangeError:
+                    pass
+                grid = table.per_led[t]
+                nearest = grid.flat[np.abs(grid - rss[t]).argmin()]
+                plateau += bool(nearest == floor and rss[t] > floor)
+        assert np.array_equal(np.isnan(fast), np.isnan(oracle))
+        assert np.allclose(fast, oracle, rtol=0.0, atol=1e-9, equal_nan=True)
+    assert plateau > 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +366,20 @@ def test_position_3d_noiseless(los_scenario):
     assert height == 150.0
     assert est1.euclidean_error_cm <= 1e-3
     assert est2.euclidean_error_cm <= 1e-3
+
+
+def test_position_3d_grid_mode_noiseless(los_scenario):
+    # both PDs on 5 cm grid points at a whole-cm height: off the grid, the
+    # radius quantisation alone can move the height pick by several steps
+    bound = (los_scenario.room.grid_resolution_cm * math.sqrt(2.0)
+             + los_scenario.room.height_grid_resolution_cm)
+    for device in (Vec3(100.0, 100.0, 150.0), Vec3(-20.0, 40.0, 200.0)):
+        obs, schedule, pds = _debiased_noiseless(los_scenario, device)
+        est1, est2, height = position_3d(obs, schedule, los_scenario, mode="grid",
+                                         truths=(pds[0], pds[1]))
+        assert abs(height - device.z) <= los_scenario.room.height_grid_resolution_cm
+        assert est1.euclidean_error_cm <= bound
+        assert est2.euclidean_error_cm <= bound
 
 
 def test_position_3d_all_heights_failing(los_scenario):
