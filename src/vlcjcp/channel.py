@@ -13,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, LengthError
 from .modem import mean_symbol_energy
 from .scene import LedConfig, ModulationConfig, PdConfig, RoomConfig, ScenarioConfig, Vec3
 
 __all__ = [
     "LinkStats",
     "LinkStatsGrid",
-    "ChannelRealization",
     "NoiseModel",
     "K_MIN",
     "K_MAX",
@@ -62,17 +61,6 @@ class LinkStatsGrid:
     sigma2: np.ndarray
     omega: np.ndarray
     k_factor: np.ndarray
-
-    def link(self, r: int, t: int) -> LinkStats:
-        return LinkStats(float(self.mu[r, t]), float(self.sigma2[r, t]),
-                         float(self.omega[r, t]), float(self.k_factor[r, t]))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    stats: LinkStatsGrid
-    h: np.ndarray          # sampled N_r x N_t gain matrix
-    seed_tag: str = ""
 
 
 @dataclass(frozen=True)
@@ -229,13 +217,15 @@ def _k_for_link(scenario: ScenarioConfig, led: LedConfig, pd_position: Vec3) -> 
 
 
 def link_stats(scenario: ScenarioConfig, pd_positions) -> LinkStatsGrid:
-    """Rician statistics for every (PD, LED) pair; out-of-FoV links get mu = 0."""
+    """Rician statistics for every (PD, LED) pair, given one position per
+    scenario PD; out-of-FoV links get mu = 0."""
     n_r, n_t = len(pd_positions), scenario.n_leds
+    if n_r != len(scenario.pds):
+        raise LengthError(f"{n_r} PD positions for {len(scenario.pds)} PDs")
     mu = np.zeros((n_r, n_t))
     sigma2 = np.zeros((n_r, n_t))
     k = np.zeros((n_r, n_t))
-    for r, pos in enumerate(pd_positions):
-        pd = scenario.pds[r] if r < len(scenario.pds) else scenario.pds[-1]
+    for r, (pos, pd) in enumerate(zip(pd_positions, scenario.pds)):
         for t, led in enumerate(scenario.leds):
             stats = rician_params(los_gain(led, pos, pd), _k_for_link(scenario, led, pos))
             mu[r, t] = stats.mu
@@ -244,22 +234,15 @@ def link_stats(scenario: ScenarioConfig, pd_positions) -> LinkStatsGrid:
     return LinkStatsGrid(mu=mu, sigma2=sigma2, omega=mu * mu + sigma2, k_factor=k)
 
 
-def sample_channel_matrix(
-    scenario: ScenarioConfig,
-    pd_positions,
-    rng: np.random.Generator,
-    seed_tag: str = "",
-) -> ChannelRealization:
-    """Draw one Rician realization h = mu + sigma * N(0, 1) per link.
+def sample_channel_matrix(stats: LinkStatsGrid, rng: np.random.Generator) -> np.ndarray:
+    """One Rician (N_r, N_t) gain matrix h = mu + sigma * N(0, 1) for `stats`.
 
     Deterministic given the RNG state: a single (N_r, N_t) standard normal
     block is consumed regardless of the statistics.  Samples may go negative
     for small K; they are used as-is (electrical-domain model).
     """
-    stats = link_stats(scenario, pd_positions)
     noise = rng.standard_normal(stats.mu.shape)
-    h = stats.mu + np.sqrt(stats.sigma2) * noise
-    return ChannelRealization(stats=stats, h=h, seed_tag=seed_tag)
+    return stats.mu + np.sqrt(stats.sigma2) * noise
 
 
 def noise_variance_for_snr(

@@ -4,7 +4,8 @@ Subcommands: `validate`, `rss-table`, `sweep ber|pos2d|pos3d`, `k-factor`.
 Exit codes are a stable contract: 0 success, 1 domain or validation failure,
 2 usage or I/O failure.  Every sweep writes a manifest listing each emitted
 file with its SHA-256, so a run can be replayed and byte-verified from the
-recorded seed.
+recorded seed.  Sweeps run serially in one process; `sweep` takes no
+worker-count option, and an unknown option is a usage error (exit 2).
 """
 from __future__ import annotations
 
@@ -187,18 +188,14 @@ def _cmd_sweep(args) -> int:
     written: list[str] = []
     started = time.monotonic()
     try:
-        spec = harness.SweepSpec(scenario=scenario, variable="snr_db",
-                                 values=tuple(snr_values), trials_per_point=trials,
-                                 bits_per_trial=args.bits)
+        spec = harness.SweepSpec(scenario=scenario, values=tuple(snr_values),
+                                 trials_per_point=trials, bits_per_trial=args.bits)
         if args.kind == "ber":
-            records = harness.run_ber_sweep(spec, positions[0], m_orders,
-                                            threads=args.threads)
+            records = harness.run_ber_sweep(spec, positions[0], m_orders)
         elif args.kind == "pos2d":
-            records = harness.run_positioning_sweep_2d(spec, positions, mode=args.mode,
-                                                       threads=args.threads)
+            records = harness.run_positioning_sweep_2d(spec, positions, mode=args.mode)
         else:
-            records = harness.run_positioning_sweep_3d(spec, positions, mode=args.mode,
-                                                       threads=args.threads)
+            records = harness.run_positioning_sweep_3d(spec, positions, mode=args.mode)
         metrics_path = os.path.join(out_dir, f"{args.kind}_metrics.csv")
         harness.write_metrics_csv(records, metrics_path)
         written.append(metrics_path)
@@ -273,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m-orders", default=None, help="comma list of PAM orders (ber)")
     p_sweep.add_argument("--mode", choices=["analytic", "grid"], default="analytic",
                          help="radius inversion mode for positioning sweeps")
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker cap")
     p_sweep.add_argument("--save-samples", action="store_true",
                          help="write per-point error samples for CDF plots")
     p_sweep.add_argument("--out-dir", required=True)

@@ -1,13 +1,16 @@
 """Monte Carlo experiment engine: BER sweeps, 2-D/3-D positioning-error sweeps,
 spiral trajectories, and empirical CDFs, all deterministically seeded.
 
+Sweeps run serially through one engine, `_run_trials`, which sets up each
+sweep point once and passes every trial through the same front end.
+
 Seeding contract: every trial draws from an independent stream derived as
-SeedSequence(scenario seed, spawn_key=(sweep kind, trial index)).  The spawn
-key deliberately excludes the sweep value, receiver position, and PAM order:
-trial k sees identical fading and noise draws at every point of a sweep, so
-cross-SNR monotonicity and location/order comparisons are paired (common
-random numbers) while trials stay mutually independent.  Aggregation is
-commutative, so results do not depend on the worker count.
+SeedSequence(scenario seed, spawn_key=(sweep kind, trial index)), in the
+order channel, pilot noise, then (BER) payload bits and payload noise.  The
+spawn key deliberately excludes the sweep value, receiver position, and PAM
+order: trial k sees identical fading and noise draws at every point of a
+sweep, so cross-SNR monotonicity and location/order comparisons are paired
+(common random numbers) while trials stay mutually independent.
 
 The SNR-to-noise mapping is calibrated once per sweep point against a
 reference receiver at the room center (x = y = 0) at the height of the swept
@@ -20,17 +23,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import NoiseModel, link_stats, noise_variance_for_snr, sample_channel_matrix
-from .errors import CollinearError, DomainError, EmptyError, InsufficientCirclesError
+from .errors import CollinearError, DomainError, EmptyError, InsufficientCirclesError, RankError
 from .modem import pam_constellation, pilot_schedule, sm_bits_per_symbol, \
     sm_indices_from_bits, bits_from_sm_indices
-from .positioning import position_2d, position_3d
+from .positioning import measure_rss, position_2d, position_3d
 from .receiver import ls_joint_estimate, ml_detect_batch, remove_dc_bias
 from .scene import ScenarioConfig, Vec3
 
@@ -54,14 +56,15 @@ METRICS_CSV_HEADER = ["sweep_var", "value", "metric", "mean", "ci_half_width", "
 
 _KIND_TAG = {"ber": 0, "pos2d": 1, "pos3d": 2}
 _Z95 = 1.959963984540054  # normal-approximation 95 percent quantile
+# a failed fix, including an estimator that cannot identify the dimming zones
+_CENSORED = (RankError, InsufficientCirclesError, CollinearError)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep and how hard to average at each point."""
+    """What to sweep (SNR values in dB) and how hard to average at each point."""
 
     scenario: ScenarioConfig
-    variable: str = "snr_db"
     values: tuple[float, ...] = ()
     trials_per_point: int = 1000
     bits_per_trial: int = 1_000_000
@@ -105,86 +108,88 @@ def derive_rng(seed: int, kind: str, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _map_ordered(fn: Callable[[int], object], count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _reference_noise(scenario: ScenarioConfig, snr_db: float, height_cm: float) -> NoiseModel:
     reference = scenario.pd_positions(Vec3(0.0, 0.0, height_cm))
     return noise_variance_for_snr(link_stats(scenario, reference),
                                   scenario.modulation, snr_db)
 
 
-def _pilot_observations(scenario, h, noise, rng, schedule):
-    """y_p = amplitude * h[:, led] + v_dc * h @ rho + w for every pilot slot."""
+def _transmit(h, led, amp, bias, sigma_w: float, rng: np.random.Generator) -> np.ndarray:
+    """y = amp * h[:, led] + bias + sigma_w * N(0, 1), one row per pilot or
+    payload slot; bias = v_dc * h @ rho is shared by a trial's pilots and
+    payload.  golden/records.json was recorded with this summation order."""
+    clean = amp[:, None] * h.T[led] + bias[None, :]
+    return clean + rng.standard_normal(clean.shape) * sigma_w
+
+
+def _run_trials(scenario: ScenarioConfig, kind: str, count: int, noise: NoiseModel,
+                pd_positions, schedule, back_end: Callable, censor: tuple = ()) -> list:
+    """Outcomes of trials 0..count-1 at one sweep point.
+
+    Each trial draws its channel, sends the pilots through `_transmit` and
+    makes the LS estimate; back_end(rng, h, bias, pilots, estimate) then
+    gives its outcome, or None when the trial raises one of `censor`.
+    """
+    v_dc = scenario.modulation.v_dc
+    stats = link_stats(scenario, pd_positions)
     led = np.array([s[0] for s in schedule])
     amp = np.array([s[1] for s in schedule])
-    bias = scenario.modulation.v_dc * (h @ scenario.dimming.rho())
-    clean = amp[:, None] * h.T[led] + bias[None, :]
-    w = rng.standard_normal(clean.shape) * math.sqrt(noise.sigma2_w)
-    return clean + w
-
-
-def _with_pam_order(scenario: ScenarioConfig, m_order: int) -> ScenarioConfig:
-    if m_order == scenario.modulation.pam_order:
-        return scenario
-    return replace(scenario, modulation=replace(scenario.modulation, pam_order=m_order))
+    psi = scenario.dimming.psi_matrix()
+    rho = scenario.dimming.rho()
+    sigma_w = math.sqrt(noise.sigma2_w)
+    outcomes = []
+    for trial in range(count):
+        rng = derive_rng(scenario.seed, kind, trial)
+        h = sample_channel_matrix(stats, rng)
+        bias = v_dc * (h @ rho)
+        pilots = _transmit(h, led, amp, bias, sigma_w, rng)
+        try:
+            estimate = ls_joint_estimate(pilots, schedule, psi, v_dc)
+            outcomes.append(back_end(rng, h, bias, pilots, estimate))
+        except censor:
+            outcomes.append(None)
+    return outcomes
 
 
 def run_ber_sweep(
     spec: SweepSpec,
     position: Vec3 = Vec3(-2.5, 1.5, 0.0),
     m_orders: Sequence[int] | None = None,
-    threads: int = 1,
 ) -> list[MetricsRecord]:
     """Bit error rate per (SNR, PAM order) for a receiver at `position`.
 
-    Full chain per frame: fresh Rician draw (block fading), pilot LS
-    estimation, DC removal, joint ML detection; decoding errors are the
-    measurement and never abort a point.
+    Each frame is one trial (block fading) with a random payload, DC removal
+    and joint ML detection; decoding errors are the measurement, while an
+    estimator failure aborts the sweep.
     """
     scenario = spec.scenario
     if m_orders is None:
         m_orders = [scenario.modulation.pam_order]
+    n_leds, v_dc = scenario.n_leds, scenario.modulation.v_dc
+    schedule = pilot_schedule(n_leds, scenario.modulation.amplitude, scenario.n_pilots)
     records = []
     for snr_db in spec.values:
         for m_order in m_orders:
-            scn = _with_pam_order(scenario, m_order)
+            scn = replace(scenario, modulation=replace(scenario.modulation, pam_order=m_order))
             noise = _reference_noise(scn, snr_db, position.z)
-            pd_positions = scn.pd_positions(position)
             constellation = pam_constellation(m_order, scn.modulation.amplitude)
             levels = np.asarray(constellation.levels)
-            schedule = pilot_schedule(scn.n_leds, scn.modulation.amplitude, scn.n_pilots)
-            psi = scn.dimming.psi_matrix()
-            eta = sm_bits_per_symbol(scn.n_leds, m_order)
-            bits_per_frame = spec.frame_payload_symbols * eta
+            bits_per_frame = spec.frame_payload_symbols * sm_bits_per_symbol(n_leds, m_order)
             n_frames = max(1, math.ceil(spec.bits_per_trial / bits_per_frame))
 
-            def one_frame(frame_idx: int, scn=scn, noise=noise, pd_positions=pd_positions,
-                          levels=levels, schedule=schedule, psi=psi, eta=eta,
-                          m_order=m_order, constellation=constellation):
-                rng = derive_rng(scn.seed, "ber", frame_idx)
-                real = sample_channel_matrix(scn, pd_positions, rng)
-                obs = _pilot_observations(scn, real.h, noise, rng, schedule)
-                est = ls_joint_estimate(obs, schedule, psi, scn.modulation.v_dc)
-                bits = rng.integers(0, 2, spec.frame_payload_symbols * eta,
-                                    dtype=np.uint8)
-                led_idx, pam_idx = sm_indices_from_bits(bits, scn.n_leds, m_order)
-                clean = levels[pam_idx][:, None] * real.h.T[led_idx]
-                bias = scn.modulation.v_dc * (real.h @ scn.dimming.rho())
-                y = clean + bias[None, :] + rng.standard_normal(clean.shape) \
-                    * math.sqrt(noise.sigma2_w)
-                debiased = remove_dc_bias(y, est, scn.modulation.v_dc)
+            def frame_errors(rng, h, bias, pilots, est):
+                bits = rng.integers(0, 2, bits_per_frame, dtype=np.uint8)
+                led_idx, pam_idx = sm_indices_from_bits(bits, n_leds, m_order)
+                y = _transmit(h, led_idx, levels[pam_idx], bias,
+                              math.sqrt(noise.sigma2_w), rng)
+                debiased = remove_dc_bias(y, est, v_dc)
                 pam_hat, led_hat, _ = ml_detect_batch(debiased, est.h_hat, constellation)
-                bits_hat = bits_from_sm_indices(led_hat, pam_hat, scn.n_leds, m_order)
-                return int(np.sum(bits != bits_hat)), bits.size
+                bits_hat = bits_from_sm_indices(led_hat, pam_hat, n_leds, m_order)
+                return int(np.sum(bits != bits_hat))
 
-            results = _map_ordered(one_frame, n_frames, threads)
-            errors = sum(r[0] for r in results)
-            total_bits = sum(r[1] for r in results)
+            errors = sum(_run_trials(scn, "ber", n_frames, noise, scn.pd_positions(position),
+                                     schedule, frame_errors))
+            total_bits = n_frames * bits_per_frame
             ber = errors / total_bits
             ci = _Z95 * math.sqrt(max(ber * (1.0 - ber), 0.0) / total_bits)
             records.append(MetricsRecord(metric="ber", snr_db=snr_db, value=ber,
@@ -195,19 +200,22 @@ def run_ber_sweep(
     return records
 
 
-def _positioning_records(spec, positions, kind, trial_fn, threads, max_samples):
+def _positioning_records(spec, positions, kind, fix_error, max_samples):
     scenario = spec.scenario
+    schedule = pilot_schedule(scenario.n_leds, scenario.modulation.amplitude,
+                              scenario.n_pilots)
     records = []
     for snr_db in spec.values:
         for position in positions:
             noise = _reference_noise(scenario, snr_db, position.z)
             pd_positions = scenario.pd_positions(position)
 
-            def one_trial(trial: int):
-                rng = derive_rng(scenario.seed, kind, trial)
-                return trial_fn(position, pd_positions, noise, rng)
+            def trial_error(rng, h, bias, pilots, est):
+                debiased = remove_dc_bias(pilots, est, scenario.modulation.v_dc)
+                return fix_error(position, pd_positions, noise, schedule, debiased)
 
-            outcomes = _map_ordered(one_trial, spec.trials_per_point, threads)
+            outcomes = _run_trials(scenario, kind, spec.trials_per_point, noise,
+                                   pd_positions, schedule, trial_error, _CENSORED)
             errors = np.array([e for e in outcomes if e is not None])
             failures = sum(1 for e in outcomes if e is None)
             if errors.size > max_samples:
@@ -230,72 +238,38 @@ def run_positioning_sweep_2d(
     spec: SweepSpec,
     positions: Sequence[Vec3],
     mode: str = "analytic",
-    threads: int = 1,
     max_samples: int = 100_000,
 ) -> list[MetricsRecord]:
     """Mean 2-D positioning error per (SNR, position), PD 1 as the reference.
 
-    Failed fixes are censored: counted in MetricsRecord.failures and excluded
-    from the mean, never silently dropped.
+    Failed fixes and estimates are censored: counted in
+    MetricsRecord.failures and excluded from the mean, never silently dropped.
     """
-    scenario = spec.scenario
-    schedule = pilot_schedule(scenario.n_leds, scenario.modulation.amplitude,
-                              scenario.n_pilots)
-    psi = scenario.dimming.psi_matrix()
+    def fix_error(position, pd_positions, noise, schedule, debiased):
+        rss = measure_rss(debiased, schedule)
+        return position_2d(rss[0], spec.scenario, position.z, mode, noise=noise,
+                           pd_index=0, truth=pd_positions[0]).euclidean_error_cm
 
-    def trial(position, pd_positions, noise, rng):
-        real = sample_channel_matrix(scenario, pd_positions, rng)
-        obs = _pilot_observations(scenario, real.h, noise, rng, schedule)
-        est = ls_joint_estimate(obs, schedule, psi, scenario.modulation.v_dc)
-        debiased = remove_dc_bias(obs, est, scenario.modulation.v_dc)
-        rss = _measure(debiased, schedule)
-        try:
-            fix = position_2d(rss[0], scenario, position.z, mode, noise=noise,
-                              pd_index=0, truth=pd_positions[0])
-        except (InsufficientCirclesError, CollinearError):
-            return None
-        return fix.euclidean_error_cm
-
-    return _positioning_records(spec, positions, "pos2d", trial, threads, max_samples)
+    return _positioning_records(spec, positions, "pos2d", fix_error, max_samples)
 
 
 def run_positioning_sweep_3d(
     spec: SweepSpec,
     positions: Sequence[Vec3],
     mode: str = "analytic",
-    threads: int = 1,
     max_samples: int = 100_000,
 ) -> list[MetricsRecord]:
     """Mean 3-D positioning error per (SNR, position).
 
     The trial error is the mean of the two PDs' Euclidean errors at the
-    selected height.
+    selected height; failures are censored as in the 2-D sweep.
     """
-    scenario = spec.scenario
-    schedule = pilot_schedule(scenario.n_leds, scenario.modulation.amplitude,
-                              scenario.n_pilots)
-    psi = scenario.dimming.psi_matrix()
-
-    def trial(position, pd_positions, noise, rng):
-        real = sample_channel_matrix(scenario, pd_positions, rng)
-        obs = _pilot_observations(scenario, real.h, noise, rng, schedule)
-        est = ls_joint_estimate(obs, schedule, psi, scenario.modulation.v_dc)
-        debiased = remove_dc_bias(obs, est, scenario.modulation.v_dc)
-        try:
-            est1, est2, _ = position_3d(debiased, schedule, scenario,
-                                        noise=noise, mode=mode,
-                                        truths=(pd_positions[0], pd_positions[1]))
-        except (InsufficientCirclesError, CollinearError):
-            return None
+    def fix_error(position, pd_positions, noise, schedule, debiased):
+        est1, est2, _ = position_3d(debiased, schedule, spec.scenario, noise=noise,
+                                    mode=mode, truths=(pd_positions[0], pd_positions[1]))
         return 0.5 * (est1.euclidean_error_cm + est2.euclidean_error_cm)
 
-    return _positioning_records(spec, positions, "pos3d", trial, threads, max_samples)
-
-
-def _measure(debiased, schedule):
-    from .positioning import measure_rss
-
-    return measure_rss(debiased, schedule)
+    return _positioning_records(spec, positions, "pos3d", fix_error, max_samples)
 
 
 def spiral_trajectory(

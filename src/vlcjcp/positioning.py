@@ -88,7 +88,6 @@ class RssTable:
     height_cm: float
     resolution_cm: float
     per_led: np.ndarray     # (N_t, nx, ny)
-    grid_origin: Vec3
     xs: np.ndarray
     ys: np.ndarray
     noise_floor: float
@@ -203,13 +202,15 @@ def radius_from_rss(
     Analytic mode bisects the monotone forward model; grid mode returns the
     horizontal distance of the nearest-RSS grid point in `table` (the literal
     lookup procedure).  Raises OutOfRangeError when the measurement exceeds
-    the beneath-LED maximum or does not rise above the ambient floor, and
-    DomainError when grid mode lacks `table` or `led_index`.
+    the beneath-LED maximum, does not rise above the ambient floor or is not
+    finite, and DomainError when grid mode lacks `table` or `led_index`.
     """
     if mode == "grid":
         if table is None or led_index is None:
             raise DomainError("grid mode needs a reference table and led_index")
         grid = table.per_led[led_index]
+        if not math.isfinite(rss):
+            raise OutOfRangeError("measured RSS is not finite")
         if rss <= table.noise_floor:
             raise OutOfRangeError("measured RSS at or below the ambient floor")
         if rss > grid.max():
@@ -279,8 +280,7 @@ def build_reference_grid(scenario: ScenarioConfig, height_cm: float,
             omega = omega_from_mu(mu, scenario.rician.k_factor)
         per_led[t] = e_p * omega + floor
     return RssTable(height_cm=height_cm, resolution_cm=room.grid_resolution_cm,
-                    per_led=per_led, grid_origin=Vec3(xs[0], ys[0], height_cm),
-                    xs=xs, ys=ys, noise_floor=floor)
+                    per_led=per_led, xs=xs, ys=ys, noise_floor=floor)
 
 
 def write_rss_table_csv(table: RssTable, path) -> None:

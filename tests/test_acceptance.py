@@ -70,12 +70,12 @@ def test_criterion_1_noiseless_end_to_end(los_scenario):
     scn = los_scenario
     device = Vec3(20.0, -35.0, 0.0)
     pd_positions = scn.pd_positions(device)
-    real = sample_channel_matrix(scn, pd_positions, np.random.default_rng(0))
+    h = sample_channel_matrix(link_stats(scn, pd_positions), np.random.default_rng(0))
     schedule = pilot_schedule(scn.n_leds, scn.modulation.amplitude, scn.n_pilots)
     psi = scn.dimming.psi_matrix()
-    obs = _noiseless_pilot_obs(scn, real.h, schedule)
+    obs = _noiseless_pilot_obs(scn, h, schedule)
     est = ls_joint_estimate(obs, schedule, psi, scn.modulation.v_dc)
-    h_err = np.max(np.abs(est.h_hat - real.h) / np.abs(real.h))
+    h_err = np.max(np.abs(est.h_hat - h) / np.abs(h))
     kappa = np.asarray(scn.dimming.kappa)
     k_err = np.max(np.abs(est.kappa_hat - kappa) / np.abs(kappa))
     assert h_err <= 1e-9 and k_err <= 1e-9
@@ -91,8 +91,8 @@ def test_criterion_1_noiseless_end_to_end(los_scenario):
     bits = rng.integers(0, 2, n_frames * n_sym * eta, dtype=np.uint8)
     led_idx, pam_idx = sm_indices_from_bits(bits, scn.n_leds, order)
     levels = np.asarray(const.levels)
-    bias = scn.modulation.v_dc * (real.h @ scn.dimming.rho())
-    y = levels[pam_idx][:, None] * real.h.T[led_idx] + bias[None, :]
+    bias = scn.modulation.v_dc * (h @ scn.dimming.rho())
+    y = levels[pam_idx][:, None] * h.T[led_idx] + bias[None, :]
     debiased = remove_dc_bias(y, est, scn.modulation.v_dc)
     pam_hat, led_hat, _ = ml_detect_batch(debiased, est.h_hat, const)
     bits_hat = bits_from_sm_indices(led_hat, pam_hat, scn.n_leds, order)

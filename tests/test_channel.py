@@ -15,7 +15,7 @@ from vlcjcp.channel import (
     rician_params,
     sample_channel_matrix,
 )
-from vlcjcp.errors import DomainError, GeometryError
+from vlcjcp.errors import DomainError, GeometryError, LengthError
 from vlcjcp.scene import LedConfig, PdConfig, Vec3
 
 
@@ -89,16 +89,17 @@ def test_rician_omega_identity(h, k):
 
 
 def test_sample_k_inf_equals_los(los_scenario):
-    positions = los_scenario.pd_positions(Vec3(0.0, 0.0, 0.0))
-    real = sample_channel_matrix(los_scenario, positions, np.random.default_rng(3))
-    assert np.array_equal(real.h, real.stats.mu)
+    stats = link_stats(los_scenario, los_scenario.pd_positions(Vec3(0.0, 0.0, 0.0)))
+    h = sample_channel_matrix(stats, np.random.default_rng(3))
+    assert np.array_equal(h, stats.mu)
 
 
 def test_sample_deterministic_given_seed(default_scenario):
-    positions = default_scenario.pd_positions(Vec3(10.0, -20.0, 0.0))
-    a = sample_channel_matrix(default_scenario, positions, np.random.default_rng(11))
-    b = sample_channel_matrix(default_scenario, positions, np.random.default_rng(11))
-    assert np.array_equal(a.h, b.h)
+    stats = link_stats(default_scenario,
+                       default_scenario.pd_positions(Vec3(10.0, -20.0, 0.0)))
+    a = sample_channel_matrix(stats, np.random.default_rng(11))
+    b = sample_channel_matrix(stats, np.random.default_rng(11))
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 10.0])
@@ -127,6 +128,11 @@ def test_link_stats_out_of_fov_mu_zero(default_scenario):
     stats = link_stats(cfg, positions)
     assert stats.mu[0, 3] == 0.0  # opposite-corner LED far outside the cone
     assert stats.sigma2[0, 3] == 0.0
+
+
+def test_link_stats_needs_one_position_per_pd(default_scenario):
+    with pytest.raises(LengthError):
+        link_stats(default_scenario, default_scenario.pd_positions(Vec3(0.0, 0.0, 0.0))[:1])
 
 
 def test_k_factor_reflectivity_proportionality(default_scenario):

@@ -126,3 +126,18 @@ def test_sweep_pos3d_grid_mode_smoke(tmp_path):
     assert sorted(manifest["artifacts"]) == ["pos3d_metrics.csv", "pos3d_report.json"]
     report = json.load(open(out_dir / "pos3d_report.json"))
     assert report["records"][0]["trials"] == 2
+
+
+def test_sweep_noiseless_rank_deficient_point_exits_0(tmp_path):
+    out_dir = tmp_path / "inf"
+    code = main(["sweep", "pos2d", SCENARIO_PATH, "--snr", "inf", "--trials", "2",
+                 "--positions", "100,100,250", "--out-dir", str(out_dir)])
+    assert code == 0
+    report = json.load(open(out_dir / "pos2d_report.json"))
+    assert report["records"][0]["failures"] == 2
+    assert report["records"][0]["mean"] is None
+
+
+def test_sweep_has_no_threads_option(tmp_path):
+    assert main(["sweep", "pos2d", SCENARIO_PATH, "--threads", "2",
+                 "--out-dir", str(tmp_path / "t")]) == 2

@@ -13,14 +13,10 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
-
-def _script():
-    path = os.path.join(ROOT, "scripts", "make_golden_records.py")
-    spec = importlib.util.spec_from_file_location("make_golden_records", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+_spec = importlib.util.spec_from_file_location(
+    "make_golden_records", os.path.join(ROOT, "scripts", "make_golden_records.py"))
+SCRIPT = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(SCRIPT)
 
 with open(os.path.join(ROOT, "golden", "records.json"), "r", encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)["cases"]
@@ -34,7 +30,7 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
 def test_records_match_golden(case):
-    records = _script().run_case(case)
+    records = SCRIPT.run_case(case)
     assert len(records) == len(case["records"])
     for got, want in zip(records, case["records"]):
         assert (got["trials"], got["failures"]) == (want["trials"], want["failures"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vlcjcp.errors import DomainError, EmptyError
+from vlcjcp.errors import DomainError, EmptyError, RankError
 from vlcjcp.harness import (
     MetricsRecord,
     SweepSpec,
@@ -88,8 +88,28 @@ def test_ber_reproducible(default_scenario):
     a = run_ber_sweep(spec, Vec3(-2.5, 1.5, 0.0))
     b = run_ber_sweep(spec, Vec3(-2.5, 1.5, 0.0))
     assert a[0].value == b[0].value
-    c = run_ber_sweep(spec, Vec3(-2.5, 1.5, 0.0), threads=3)
-    assert c[0].value == a[0].value
+
+
+def test_ber_frames_are_a_prefix(default_scenario, monkeypatch):
+    # frame k draws from its own stream, so a sweep of fewer bits sends
+    # exactly the first frames of a longer one
+    import vlcjcp.harness as harness
+
+    received = []
+    detect = harness.ml_detect_batch
+
+    def spy(y, h_hat, constellation):
+        received.append((y.copy(), h_hat.copy()))
+        return detect(y, h_hat, constellation)
+
+    monkeypatch.setattr(harness, "ml_detect_batch", spy)
+    position = Vec3(25.0, 25.0, 0.0)
+    run_ber_sweep(_spec(default_scenario, [40.0], bits=1600), position)
+    n_short = len(received)
+    run_ber_sweep(_spec(default_scenario, [40.0], bits=4000), position)
+    assert (n_short, len(received) - n_short) == (2, 5)  # 800 bits per frame
+    for (y_a, h_a), (y_b, h_b) in zip(received[:n_short], received[n_short:]):
+        assert np.array_equal(y_a, y_b) and np.array_equal(h_a, h_b)
 
 
 def test_positioning_2d_noiseless_is_exact(los_scenario):
@@ -121,12 +141,32 @@ def test_positioning_3d_noiseless_within_grid_bound(los_scenario):
     assert records[0].failures == 0
 
 
-def test_positioning_reproducible_across_threads(default_scenario):
-    spec = _spec(default_scenario, [40.0], trials=12)
-    a = run_positioning_sweep_2d(spec, [Vec3(50.0, 50.0, 0.0)])
-    b = run_positioning_sweep_2d(spec, [Vec3(50.0, 50.0, 0.0)], threads=4)
-    assert a[0].value == b[0].value
-    assert np.array_equal(a[0].samples, b[0].samples)
+def test_positioning_trials_are_a_prefix(default_scenario):
+    position = [Vec3(50.0, 50.0, 0.0)]
+    a = run_positioning_sweep_2d(_spec(default_scenario, [40.0], trials=12), position)[0]
+    b = run_positioning_sweep_2d(_spec(default_scenario, [40.0], trials=12), position)[0]
+    assert a.value == b.value
+    assert np.array_equal(a.samples, b.samples)
+    short = run_positioning_sweep_2d(_spec(default_scenario, [40.0], trials=7), position)[0]
+    assert (short.failures, a.failures) == (0, 0)
+    assert np.array_equal(short.samples, a.samples[:7])
+
+
+@pytest.mark.parametrize("sweep", [run_positioning_sweep_2d, run_positioning_sweep_3d])
+def test_noiseless_rank_deficient_point_is_censored(default_scenario, sweep):
+    # 60 degree FoV at (100, 100, 250): neither PD sees LEDs 2 and 3, so the
+    # noiseless H_hat psi_dim has a zero zone column and ls_joint_estimate
+    # raises RankError on every trial
+    spec = _spec(default_scenario, [math.inf], trials=3)
+    record = sweep(spec, [Vec3(100.0, 100.0, 250.0)])[0]
+    assert (record.trials, record.failures) == (3, 3)
+    assert math.isnan(record.value) and record.samples.size == 0
+
+
+def test_ber_estimator_failure_aborts(default_scenario):
+    spec = _spec(default_scenario, [math.inf])
+    with pytest.raises(RankError):
+        run_ber_sweep(spec, Vec3(100.0, 100.0, 250.0))
 
 
 def test_ci_half_width_shrinks_like_sqrt_trials(default_scenario):

@@ -178,6 +178,8 @@ def test_radius_grid_mode(default_scenario):
     with pytest.raises(OutOfRangeError):
         radius_from_rss(table.per_led[0].max() * 1.01, led, pd, 0.0,
                         mode="grid", table=table, led_index=0)
+    with pytest.raises(OutOfRangeError):
+        radius_from_rss(math.nan, led, pd, 0.0, mode="grid", table=table, led_index=0)
     with pytest.raises(DomainError):
         radius_from_rss(rss, led, pd, 0.0, mode="grid", led_index=0)
     with pytest.raises(DomainError):
@@ -314,14 +316,14 @@ def test_radical_axis_centroid_mode_matches_ls_when_consistent():
 # position fixes
 
 def _debiased_noiseless(scn, device):
-    from vlcjcp.channel import sample_channel_matrix
+    from vlcjcp.channel import link_stats, sample_channel_matrix
 
     pds = scn.pd_positions(device)
-    real = sample_channel_matrix(scn, pds, np.random.default_rng(0))
+    h = sample_channel_matrix(link_stats(scn, pds), np.random.default_rng(0))
     schedule = pilot_schedule(scn.n_leds, scn.modulation.amplitude, scn.n_pilots)
     led = np.array([s[0] for s in schedule])
     amp = np.array([s[1] for s in schedule])
-    return amp[:, None] * real.h.T[led], schedule, pds
+    return amp[:, None] * h.T[led], schedule, pds
 
 
 def test_position_2d_noiseless_exact(los_scenario):
