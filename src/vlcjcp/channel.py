@@ -59,8 +59,6 @@ class LinkStatsGrid:
 
     mu: np.ndarray
     sigma2: np.ndarray
-    omega: np.ndarray
-    k_factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -224,14 +222,12 @@ def link_stats(scenario: ScenarioConfig, pd_positions) -> LinkStatsGrid:
         raise LengthError(f"{n_r} PD positions for {len(scenario.pds)} PDs")
     mu = np.zeros((n_r, n_t))
     sigma2 = np.zeros((n_r, n_t))
-    k = np.zeros((n_r, n_t))
     for r, (pos, pd) in enumerate(zip(pd_positions, scenario.pds)):
         for t, led in enumerate(scenario.leds):
             stats = rician_params(los_gain(led, pos, pd), _k_for_link(scenario, led, pos))
             mu[r, t] = stats.mu
             sigma2[r, t] = stats.sigma2
-            k[r, t] = stats.k_factor
-    return LinkStatsGrid(mu=mu, sigma2=sigma2, omega=mu * mu + sigma2, k_factor=k)
+    return LinkStatsGrid(mu=mu, sigma2=sigma2)
 
 
 def sample_channel_matrix(stats: LinkStatsGrid, rng: np.random.Generator) -> np.ndarray:

@@ -10,12 +10,14 @@ worker-count option, and an unknown option is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import harness, positioning
 from .channel import k_factor_from_geometry, noise_variance_for_snr, link_stats
@@ -43,12 +45,24 @@ class RunManifest:
     duration_s: float
 
     def write(self, path: str) -> None:
-        """Atomic write: temp file in the same directory, then rename."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        _write_atomic(path, self._dump)
+
+    def _dump(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.__dict__, fh, indent=2)
             fh.write("\n")
+
+
+def _write_atomic(path: str, write) -> None:
+    """Atomic write: `write(tmp)` fills a temp file in the same directory,
+    which is then renamed to `path`; a failed write leaves no temp file."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
         os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _sha256(path: str) -> str:
@@ -186,6 +200,12 @@ def _cmd_sweep(args) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
+
+    def emit(name: str, write) -> None:
+        path = os.path.join(out_dir, name)
+        _write_atomic(path, write)
+        written.append(path)
+
     started = time.monotonic()
     try:
         spec = harness.SweepSpec(scenario=scenario, values=tuple(snr_values),
@@ -196,41 +216,35 @@ def _cmd_sweep(args) -> int:
             records = harness.run_positioning_sweep_2d(spec, positions, mode=args.mode)
         else:
             records = harness.run_positioning_sweep_3d(spec, positions, mode=args.mode)
-        metrics_path = os.path.join(out_dir, f"{args.kind}_metrics.csv")
-        harness.write_metrics_csv(records, metrics_path)
-        written.append(metrics_path)
+        emit(f"{args.kind}_metrics.csv", partial(harness.write_metrics_csv, records))
         if args.save_samples:
             for rec in records:
                 if rec.samples is None:
                     continue
                 x, y, z = rec.position
-                name = f"{args.kind}_snr{rec.snr_db:g}_x{x:g}_y{y:g}_z{z:g}_samples.csv"
-                path = os.path.join(out_dir, name)
-                harness.write_samples_csv(rec, path)
-                written.append(path)
-        report_path = os.path.join(out_dir, f"{args.kind}_report.json")
-        harness.write_json_report(records, report_path,
-                                  meta={"command": args.kind, "seed": seed,
-                                        "scenario": os.path.abspath(args.scenario)})
-        written.append(report_path)
-    except VlcJcpError as exc:
-        for path in written:  # no partial outputs on abort
-            try:
+                emit(f"{args.kind}_snr{rec.snr_db:g}_x{x:g}_y{y:g}_z{z:g}_samples.csv",
+                     partial(harness.write_samples_csv, rec))
+        emit(f"{args.kind}_report.json", partial(
+            harness.write_json_report, records, meta={
+                "command": args.kind, "seed": seed,
+                "scenario": os.path.abspath(args.scenario)}))
+        manifest = RunManifest(
+            command=" ".join(["sweep", args.kind]),
+            scenario_path=os.path.abspath(args.scenario),
+            seed=seed,
+            out_dir=os.path.abspath(out_dir),
+            artifacts={os.path.basename(p): _sha256(p) for p in written},
+            duration_s=round(time.monotonic() - started, 3),
+        )
+        manifest.write(os.path.join(out_dir, "manifest.json"))
+    except BaseException as exc:
+        for path in written:  # no partial outputs on any abort
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
+        if not isinstance(exc, VlcJcpError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-    manifest = RunManifest(
-        command=" ".join(["sweep", args.kind]),
-        scenario_path=os.path.abspath(args.scenario),
-        seed=seed,
-        out_dir=os.path.abspath(out_dir),
-        artifacts={os.path.basename(p): _sha256(p) for p in written},
-        duration_s=round(time.monotonic() - started, 3),
-    )
-    manifest.write(os.path.join(out_dir, "manifest.json"))
     return EXIT_OK
 
 

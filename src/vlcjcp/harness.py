@@ -365,8 +365,10 @@ def _finite_or_none(value: float) -> float | None:
 def write_json_report(records: Sequence[MetricsRecord], path, meta: dict | None = None) -> None:
     """Strict JSON report of `records`.
 
-    Non-finite floats are written as null: the NaN mean and CI of a point
-    whose every trial failed, and the infinite SNR of a noiseless sweep.
+    Non-finite floats are written as null: the NaN mean of a point whose
+    every trial failed, and the infinite SNR of a noiseless sweep.  A
+    positioning CI from fewer than two successful trials is null too: the
+    record's 0.0 there means "not estimable", not zero uncertainty.
     """
     payload = {
         "meta": meta or {},
@@ -378,7 +380,9 @@ def write_json_report(records: Sequence[MetricsRecord], path, meta: dict | None 
                 "position": rec.position,
                 "m_order": rec.m_order,
                 "mean": _finite_or_none(rec.value),
-                "ci_half_width": _finite_or_none(rec.ci_half_width),
+                "ci_half_width": (None if rec.metric == "mean_error_cm"
+                                  and rec.trials - rec.failures < 2
+                                  else _finite_or_none(rec.ci_half_width)),
                 "trials": rec.trials,
                 "failures": rec.failures,
                 "seed": rec.seed,

@@ -13,12 +13,14 @@ each LED, so the position fixes find the nearest entry by a binary search
 along the grid points sorted by distance, without building the table; a
 geometric K has no radial symmetry, and its table is built per height.
 
-The 2-D fix at a known height is the unweighted least-squares radical center.
-The 3-D height search weighs its per-height fixes instead: near-grazing LEDs
-sit on the flat tail of the RSS-vs-radius curve, so their radii carry most of
-the noise, and each candidate height's fix is the generalised least-squares
-solution of the radical-axis equations under the r^2 variances that RSS noise
-implies for each circle.
+Both fixes run one pipeline: `_radii` inverts every circle's radius at a
+list of candidate heights, and `_positions_over_heights` solves the
+radical-axis equations at each by generalised least squares.  The 3-D height
+search weighs each circle by the r^2 variance that RSS noise implies
+(near-grazing LEDs sit on the flat tail of the RSS-vs-radius curve, so their
+radii carry most of the noise); the 2-D fix is the one-height, equal-weight
+case, the unweighted least-squares radical center.  `radius_from_rss` and
+`radical_axis_position_2d` are the scalar references the tests check it by.
 """
 from __future__ import annotations
 
@@ -321,14 +323,15 @@ def _floor_grid_by_distance(scenario: ScenarioConfig):
     return tuple(np.stack(arrays) for arrays in zip(*per_led))
 
 
-def _grid_radii(rss, scenario: ScenarioConfig, pd_indices, heights,
-                noise: NoiseModel | None) -> np.ndarray:
-    """Grid-mode radius of every LED at every height, for one or more PDs.
+def _radii(rss, scenario: ScenarioConfig, pd_indices, heights,
+           noise: NoiseModel | None, mode: str) -> np.ndarray:
+    """Radius of every LED at every height, for one or more PDs.
 
     rss: (len(pd_indices), N_t), row p measured by PD pd_indices[p].  Returns
-    (len(pd_indices), n_heights, N_t): `radius_from_rss(mode="grid")` on the
-    `build_reference_grid` table of that height and PD, NaN where it raises
-    OutOfRangeError.
+    (len(pd_indices), n_heights, N_t): `radius_from_rss` at that height and
+    PD, NaN where it raises.  Analytic mode bisects each LED's curve at all
+    heights at once (`_invert_radius_batch`); grid mode looks the radius up
+    in the `build_reference_grid` table of that height and PD.
 
     Fixed-K tables are radially symmetric about each LED's floor projection,
     and their entries never increase with horizontal distance (past the FoV
@@ -342,10 +345,18 @@ def _grid_radii(rss, scenario: ScenarioConfig, pd_indices, heights,
     searched per height.
     """
     heights = np.asarray(heights, dtype=float)
-    _check_heights(scenario, heights)
     rss = np.asarray(rss, dtype=float)
     floor = noise.sigma2_w if noise is not None else 0.0
+    e_p = scenario.modulation.amplitude ** 2
     radii = np.full((len(pd_indices), heights.size, scenario.n_leds), np.nan)
+    if mode != "grid":
+        for p, pd_index in enumerate(pd_indices):
+            for t, led in enumerate(scenario.leds):
+                radii[p, :, t] = _invert_radius_batch(
+                    np.full(heights.size, rss[p, t]), led, scenario.pds[pd_index],
+                    heights, _resolved_k(scenario), e_p, floor, _room_diag(scenario))
+        return radii
+    _check_heights(scenario, heights)
     if scenario.rician.mode != "fixed":
         for p, pd_index in enumerate(pd_indices):
             pd = scenario.pds[pd_index]
@@ -360,7 +371,6 @@ def _grid_radii(rss, scenario: ScenarioConfig, pd_indices, heights,
                         pass
         return radii
 
-    e_p = scenario.modulation.amplitude ** 2
     dx, dy, radius, tail_radius = _floor_grid_by_distance(scenario)
     n_points = radius.shape[1]
     rows = np.arange(scenario.n_leds)[:, None]
@@ -455,45 +465,29 @@ def position_2d(
     *,
     noise: NoiseModel | None = None,
     pd_index: int = 0,
-    table: RssTable | None = None,
-    solver: str = "ls",
     truth: Vec3 | None = None,
 ) -> PositionEstimate:
     """2-D fix at a known height from per-LED RSS of one PD.
 
-    LEDs whose radius inversion fails are dropped; at least two usable
-    circles are required (InsufficientCirclesError otherwise).  Grid mode
-    looks each radius up in `table` when one is given; otherwise it returns
-    the same radii as the `build_reference_grid` table of this height and PD
-    would, found without building it (`_grid_radii`).
+    The one-height, equal-weight case of the 3-D height search: radii from
+    `_radii`, then the unweighted least-squares radical center from
+    `_positions_over_heights`.  Unusable circles are dropped;
+    InsufficientCirclesError when fewer than two remain, CollinearError when
+    their centers are collinear (two always are).
     """
     rss = np.asarray(measured_rss, dtype=float).reshape(-1)
     if rss.size != scenario.n_leds:
         raise LengthError(f"expected {scenario.n_leds} RSS values, got {rss.size}")
-    if mode == "grid" and table is None:
-        radii = _grid_radii(rss[None], scenario, (pd_index,), [height_cm], noise)[0, 0]
-    else:
-        pd = scenario.pds[pd_index]
-        floor = noise.sigma2_w if noise is not None else 0.0
-        e_p = scenario.modulation.amplitude ** 2
-        radii = np.full(scenario.n_leds, np.nan)
-        for t, led in enumerate(scenario.leds):
-            try:
-                radii[t] = radius_from_rss(
-                    float(rss[t]), led, pd, height_cm,
-                    k_factor=_resolved_k(scenario), pilot_energy=e_p, noise_floor=floor,
-                    mode=mode, table=table, led_index=t,
-                    max_radius_cm=_room_diag(scenario),
-                )
-            except (OutOfRangeError, GeometryError):
-                pass
-    circles = [Circle2D(center=(led.position.x, led.position.y), radius=float(r))
-               for led, r in zip(scenario.leds, radii) if not math.isnan(r)]
-    if len(circles) < 2:
+    radii = _radii(rss[None], scenario, (pd_index,), [height_cm], noise, mode)[0]
+    usable = int(np.count_nonzero(~np.isnan(radii)))
+    if usable < 2:
         raise InsufficientCirclesError(
-            f"only {len(circles)} usable circles at height {height_cm} cm")
-    x, y = radical_axis_position_2d(circles, mode=solver)
-    return PositionEstimate.from_coords(Vec3(x, y, height_cm), truth)
+            f"only {usable} usable circles at height {height_cm} cm")
+    centers = np.array([[led.position.x, led.position.y] for led in scenario.leds])
+    (x, y), = _positions_over_heights(radii, centers, np.ones_like(radii))
+    if math.isnan(x):
+        raise CollinearError("usable circle centers are collinear")
+    return PositionEstimate.from_coords(Vec3(float(x), float(y), height_cm), truth)
 
 
 def candidate_heights(scenario: ScenarioConfig) -> np.ndarray:
@@ -605,7 +599,7 @@ def position_3d(
     Grid mode takes each radius from the nearest-RSS point of the
     `build_reference_grid` table of that height and PD.  With a fixed K one
     sorted-distance search per LED covers all heights and both PDs
-    (`_grid_radii`); a geometric K builds the table of every height.
+    (`_radii`); a geometric K builds the table of every height.
 
     Args:
         debiased_pilot_obs: (n_P, 2) pilot observations, DC term removed.
@@ -620,26 +614,14 @@ def position_3d(
     rss = measure_rss(debiased_pilot_obs, schedule)
     heights = candidate_heights(scenario)
     floor = noise.sigma2_w if noise is not None else 0.0
-    e_p = scenario.modulation.amplitude ** 2
     centers = np.array([[led.position.x, led.position.y] for led in scenario.leds])
     n_slots = np.bincount([s[0] for s in schedule], minlength=scenario.n_leds)
-    if mode == "grid":
-        grid_radii = _grid_radii(rss[:2], scenario, (0, 1), heights, noise)
+    radii = _radii(rss[:2], scenario, (0, 1), heights, noise, mode)
     fixes = []
     for pd_index in range(2):
-        pd = scenario.pds[pd_index]
-        if mode == "grid":
-            radii = grid_radii[pd_index]
-        else:
-            radii = np.column_stack([
-                _invert_radius_batch(
-                    np.full(heights.size, rss[pd_index, t]), led, pd, heights,
-                    _resolved_k(scenario), e_p, floor, _room_diag(scenario))
-                for t, led in enumerate(scenario.leds)
-            ])
-        variances = _radius_sq_variances(radii, heights, rss[pd_index], scenario,
-                                         n_slots, floor)
-        fixes.append(_positions_over_heights(radii, centers, variances))
+        variances = _radius_sq_variances(radii[pd_index], heights, rss[pd_index],
+                                         scenario, n_slots, floor)
+        fixes.append(_positions_over_heights(radii[pd_index], centers, variances))
     valid = ~(np.isnan(fixes[0]).any(axis=1) | np.isnan(fixes[1]).any(axis=1))
     if not np.any(valid):
         raise InsufficientCirclesError("no candidate height produced a fix for both PDs")

@@ -181,7 +181,7 @@ def test_noise_variance_all_zero_links_rejected(default_scenario):
     from vlcjcp.channel import LinkStatsGrid
 
     zeros = np.zeros((2, 4))
-    grid = LinkStatsGrid(mu=zeros, sigma2=zeros, omega=zeros, k_factor=zeros)
+    grid = LinkStatsGrid(mu=zeros, sigma2=zeros)
     with pytest.raises(DomainError):
         noise_variance_for_snr(grid, default_scenario.modulation, 60.0)
 

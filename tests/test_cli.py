@@ -141,3 +141,19 @@ def test_sweep_noiseless_rank_deficient_point_exits_0(tmp_path):
 def test_sweep_has_no_threads_option(tmp_path):
     assert main(["sweep", "pos2d", SCENARIO_PATH, "--threads", "2",
                  "--out-dir", str(tmp_path / "t")]) == 2
+
+
+def test_sweep_abort_leaves_no_artifacts(tmp_path, monkeypatch):
+    from vlcjcp import harness
+
+    def fail(records, path, meta=None):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{")  # a half-written report
+        raise RuntimeError("report writer failed")
+
+    monkeypatch.setattr(harness, "write_json_report", fail)
+    out_dir = tmp_path / "abort"
+    with pytest.raises(RuntimeError):
+        main(["sweep", "pos2d", SCENARIO_PATH, "--snr", "50", "--trials", "2",
+              "--positions", "0,0", "--save-samples", "--out-dir", str(out_dir)])
+    assert os.listdir(out_dir) == []

@@ -203,6 +203,7 @@ def test_report_of_all_failed_point_is_strict_json(los_scenario, tmp_path):
 
     payload = json.loads(path.read_text(), parse_constant=reject)
     assert payload["records"][0]["mean"] is None
+    assert payload["records"][0]["ci_half_width"] is None
     assert payload["records"][0]["failures"] == 4
 
 

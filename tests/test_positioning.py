@@ -17,8 +17,8 @@ from vlcjcp.errors import (
 from vlcjcp.modem import pilot_schedule
 from vlcjcp.positioning import (
     Circle2D,
-    _grid_radii,
     _positions_over_heights,
+    _radii,
     _radius_sq_variances,
     build_reference_grid,
     candidate_heights,
@@ -205,7 +205,7 @@ def test_grid_radii_match_table_lookup(scenario_name, request):
     draws[3] = tables[5].per_led[:, 7, 40]  # exact table entries
     plateau = 0
     for rss in draws:
-        fast = _grid_radii(rss[None], scenario, (1,), heights, noise)[0]
+        fast = _radii(rss[None], scenario, (1,), heights, noise, "grid")[0]
         oracle = np.full_like(fast, np.nan)
         for hi, (height, table) in enumerate(zip(heights, tables)):
             for t, led in enumerate(scenario.leds):
@@ -345,6 +345,66 @@ def test_position_2d_insufficient_circles(los_scenario):
     rss = np.zeros(4)  # nothing above the floor anywhere
     with pytest.raises(InsufficientCirclesError):
         position_2d(rss, los_scenario, 0.0)
+
+
+def _reference_position_2d(rss, scenario, height, mode, noise):
+    """Reference composition: `radius_from_rss` per LED, dropping the LEDs
+    it rejects, then `radical_axis_position_2d`."""
+    floor = noise.sigma2_w
+    table = build_reference_grid(scenario, height, noise) if mode == "grid" else None
+    circles = []
+    for t, led in enumerate(scenario.leds):
+        try:
+            r = radius_from_rss(
+                float(rss[t]), led, scenario.pds[0], height,
+                k_factor=scenario.rician.k_factor,
+                pilot_energy=scenario.modulation.amplitude ** 2, noise_floor=floor,
+                mode=mode, table=table, led_index=t,
+                max_radius_cm=math.hypot(scenario.room.dims.x, scenario.room.dims.y))
+        except (OutOfRangeError, GeometryError):
+            continue
+        circles.append(Circle2D((led.position.x, led.position.y), r))
+    if len(circles) < 2:
+        raise InsufficientCirclesError(f"{len(circles)} circles")
+    return radical_axis_position_2d(circles)
+
+
+@pytest.mark.parametrize("scenario_name", ["default_scenario", "los_scenario"])
+@pytest.mark.parametrize("mode", ["analytic", "grid"])
+def test_position_2d_matches_reference_composition(scenario_name, mode, request):
+    # noisy RSS around random floor points; some draws keep exactly two
+    # usable circles (always collinear) or fewer, which must fail alike
+    from vlcjcp.channel import los_gain_at_offsets
+
+    scenario = request.getfixturevalue(scenario_name)
+    rng = np.random.default_rng(17)
+    e_p = scenario.modulation.amplitude ** 2
+    pd = scenario.pds[0]
+    outcomes = {"fix": 0, CollinearError: 0, InsufficientCirclesError: 0}
+    for height in (0.0, 60.0, 150.0, 240.0):
+        peak = build_reference_grid(scenario, height).per_led.max()
+        noise = NoiseModel(sigma2_w=1e-5 * peak, snr_db=50.0, p_ref=1.0)
+        for draw in range(14):
+            x, y = rng.uniform(-140.0, 140.0, 2)
+            mu = np.array([los_gain_at_offsets(led, pd, led.position.x - x,
+                                               led.position.y - y,
+                                               led.position.z - height)
+                           for led in scenario.leds])
+            rss = e_p * mu ** 2 * rng.lognormal(0.0, 0.05, 4) + noise.sigma2_w
+            dropped = rng.permutation(4)[:draw % 4]  # 0 to 3 LEDs below the floor
+            rss[dropped] = 0.5 * noise.sigma2_w
+            try:
+                reference = _reference_position_2d(rss, scenario, height, mode, noise)
+            except (CollinearError, InsufficientCirclesError) as exc:
+                with pytest.raises(type(exc)):
+                    position_2d(rss, scenario, height, mode, noise=noise)
+                outcomes[type(exc)] += 1
+                continue
+            fix = position_2d(rss, scenario, height, mode, noise=noise)
+            assert (fix.coords.x, fix.coords.y) == pytest.approx(reference, rel=1e-9,
+                                                                 abs=1e-9)
+            outcomes["fix"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_select_matching_height():
